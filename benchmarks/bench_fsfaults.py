@@ -33,7 +33,7 @@ from repro.chunk import Chunk, ChunkType
 from repro.db.engine import HEALTH_DEGRADED, ForkBase
 from repro.errors import DiskFaultError
 from repro.faults import FsFaultPlan, fs_zone
-from repro.store.filestore import FileStore
+from repro.store.packstore import PackStore
 
 DOCS = int(os.environ.get("BENCH_FSFAULT_DOCS", "200"))
 CHUNKS = int(os.environ.get("BENCH_FSFAULT_CHUNKS", "400"))
@@ -102,7 +102,7 @@ def workdir():
 def _populated_engine(directory: str) -> ForkBase:
     # fsync="always": every put crosses a journal-fsync boundary, so the
     # injected fsync failure in _degrade is guaranteed to fire.
-    engine = ForkBase.open(directory, backend="file", fsync="always")
+    engine = ForkBase.open(directory, backend="pack", fsync="always")
     for n in range(DOCS):
         engine.put(f"doc-{n % 20}", {"n": str(n), "pad": "x" * 64})
     return engine
@@ -144,7 +144,7 @@ def test_fsync_recovery_rewrite_cost(benchmark, workdir, variant):
 
     def setup():
         directory = tempfile.mkdtemp(prefix="bench-fsync-", dir=workdir)
-        return (FileStore(os.path.join(directory, "chunks")),), {}
+        return (PackStore(os.path.join(directory, "chunks")),), {}
 
     def clean(store):
         store.put_many(chunks)

@@ -1,8 +1,8 @@
 """Storage backend shoot-out on the ForkBase storage-efficiency axes.
 
-Compares the three chunk backends — dict-backed ``memory``, one-read-per-
-record ``file``, and mmap + compression ``pack`` — on the axes the paper
-evaluates its storage substrate with:
+Compares the dict-backed ``memory`` store with the durable mmap +
+compression ``pack`` store (and ``pack-raw``, the same with compression
+off) on the axes the paper evaluates its storage substrate with:
 
 - **bulk-put throughput** — ``put_many`` of a deduplicating corpus (MB/s);
 - **cold get throughput** — every chunk fetched once after a fresh reopen
@@ -33,7 +33,7 @@ import pytest
 
 from benchmarks.conftest import report, table
 from repro.chunk import Chunk, ChunkType
-from repro.store import FileStore, InMemoryStore, NodeCacheStore, PackStore
+from repro.store import InMemoryStore, NodeCacheStore, PackStore
 from repro.store.packstore import _zstd
 
 CHUNKS = int(os.environ.get("BENCH_STORAGE_CHUNKS", "3000"))
@@ -44,7 +44,6 @@ JSON_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_storage.json")
 #: backend name -> store factory taking a directory.
 BACKENDS = {
     "memory": lambda directory: InMemoryStore(),
-    "file": lambda directory: FileStore(directory),
     "pack": lambda directory: PackStore(directory),
     "pack-raw": lambda directory: PackStore(directory, compression="none"),
 }
@@ -77,22 +76,6 @@ def _record(section: str, entry: dict, sub: str | None = None) -> None:
         data.setdefault(section, {}).update(entry)
     else:
         data.setdefault(section, {}).setdefault(sub, {}).update(entry)
-    backends = data.get("backends", {})
-    if "cold_get_chunks_per_s" in backends.get("file", {}) and (
-        "cold_get_chunks_per_s" in backends.get("pack", {})
-    ):
-        data["speedups"] = {
-            "pack_vs_file_cold_get": round(
-                backends["pack"]["cold_get_chunks_per_s"]
-                / backends["file"]["cold_get_chunks_per_s"],
-                2,
-            ),
-            "pack_vs_file_hot_get": round(
-                backends["pack"]["hot_get_chunks_per_s"]
-                / backends["file"]["hot_get_chunks_per_s"],
-                2,
-            ),
-        }
     if "node_cache" in data and "hot_gets_per_s" in data["node_cache"]:
         cache = data["node_cache"]
         if cache.get("baseline_gets_per_s"):

@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 # Lower layers never import higher ones (equal layers may import each
 # other; actual cycles are caught separately).  The longest dotted prefix
 # wins, which is how repro.store splits: the storage primitives
-# (base/memory/filestore/cached/stats) sit below the POS-Tree that writes
+# (base/memory/cached/stats) sit below the POS-Tree that writes
 # through them, while the tree-walking maintenance passes (gc, scrub) and
 # the package facade sit above.  Deferred (function-scope) imports and
 # ``if TYPE_CHECKING`` imports are exempt — they cannot create import-time
@@ -36,12 +36,14 @@ LAYERS: Mapping[str, int] = {
     "repro.store.durability": 3,
     "repro.store.base": 3,
     "repro.store.memory": 3,
-    "repro.store.filestore": 3,
     "repro.store.cached": 3,
     # The retry helper is pure policy over repro.errors; it sits beside
-    # the storage primitives so FileStore can bound ENOSPC retries.
+    # the storage primitives it bounds ENOSPC retries for.
     "repro.faults.retry": 3,
     "repro.faults": 4,
+    # The one durable append log embeds crash-points, so it sits beside
+    # the fault planes, below the pack store and journal built on it.
+    "repro.store.appendlog": 4,
     "repro.faults.network": 4,
     # The byzantine adversary wraps node stores the way FaultyStore does;
     # it knows chunks and stores, never the cluster that hosts it.
@@ -340,12 +342,8 @@ DEFAULT_ALLOW: Dict[str, Sequence[str]] = {
     # the accumulated error after its bounded retry loop — the rule
     # cannot see a deferred raise, so the pattern is sanctioned here
     # instead of weakening the rule.  (The abandon() entries that used
-    # to sit alongside these were stale — found by ``--stale-allow``.)
-    "FB-OSFAULT": (
-        "src/repro/store/filestore.py::_recover_fsync",
-        "src/repro/store/packstore.py::_recover_fsync",
-        "src/repro/vcs/journal.py::_recover_fsync",
-    ),
+    # to sit alongside it were stale — found by ``--stale-allow``.)
+    "FB-OSFAULT": ("src/repro/store/appendlog.py::_recover_fsync",),
     # ChunkStore.get/get_maybe fetch then verify behind the verify_reads
     # flag: the skip branch is the *explicit, caller-chosen* opt-out the
     # flag exists for (scrub wants the raw bytes to diagnose them), so
@@ -362,18 +360,9 @@ DEFAULT_ALLOW: Dict[str, Sequence[str]] = {
     ),
     # Appends that target a *temporary* file are outside the un-ack
     # discipline: a failure leaves the live artifact untouched and the
-    # torn tmp is discarded on the next open (heads snapshot, pack-index
-    # snapshot, journal reset) or rebuilt by magic-scan (journal create).
-    # compact_segments' handler unlinks every half-built segment and
-    # reopens the old writer — new_segments is never empty, which the
-    # CFG cannot prove across the loop's zero-iteration edge.
-    "FB-ACKFLOW": (
-        "src/repro/db/engine.py::_compact",
-        "src/repro/store/packstore.py::_save_index",
-        "src/repro/store/packstore.py::compact_segments",
-        "src/repro/vcs/journal.py::_create",
-        "src/repro/vcs/journal.py::reset",
-    ),
+    # torn tmp is rewritten next time (heads snapshot, pack-index
+    # snapshot and journal reset all go through write_snapshot).
+    "FB-ACKFLOW": ("src/repro/store/appendlog.py::write_snapshot",),
 }
 
 DEFAULT_CONFIG = Config(allow=DEFAULT_ALLOW)

@@ -33,7 +33,7 @@ Quickstart::
 """
 
 from repro.db.engine import ForkBase, VersionInfo
-from repro.store import CachedStore, FileStore, InMemoryStore
+from repro.store import CachedStore, InMemoryStore, PackStore
 from repro.types import FBlob, FBool, FList, FMap, FNumber, FSet, FString
 
 __version__ = "1.0.0"
@@ -42,8 +42,8 @@ __all__ = [
     "ForkBase",
     "VersionInfo",
     "CachedStore",
-    "FileStore",
     "InMemoryStore",
+    "PackStore",
     "FBlob",
     "FBool",
     "FList",

@@ -11,6 +11,7 @@ Every command operates on a durable engine under ``--data-dir`` (default
     forkbase merge sales vendorX --into master --strategy theirs
     forkbase history sales
     forkbase verify sales
+    forkbase migrate ./old-forkbase-data
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from repro.db.engine import ForkBase
 from repro.errors import ForkBaseError, MergeConflictError
 from repro.postree.merge import resolve_ours, resolve_theirs
 from repro.security.verify import Verifier
+from repro.store.gc import collect_garbage
+from repro.store.migrate import migrate_legacy
 from repro.table.dataset import DataTable
 from repro.vcs.branches import DEFAULT_BRANCH
 
@@ -138,13 +141,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gc", help="sweep chunks unreachable from any branch")
     p.add_argument("--dry-run", action="store_true")
+
+    p = sub.add_parser(
+        "migrate",
+        help="convert a legacy segment-layout data directory to the pack store",
+        description=(
+            "One-shot, read-only scan of the legacy chunks/segments/ files "
+            "into a pack store; the old segments and index.dat are removed "
+            "once the pack is durable.  Chunks the old index had already "
+            "swept come back as unreachable chunks: run 'gc' afterwards to "
+            "reclaim them."
+        ),
+    )
+    p.add_argument("target", metavar="data-dir", help="engine directory to convert")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    engine = ForkBase.open(args.data_dir, author=args.author)
+    try:
+        if args.command == "migrate":
+            print(migrate_legacy(args.target))
+            return 0
+        engine = ForkBase.open(args.data_dir, author=args.author)
+    except ForkBaseError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     try:
         return _dispatch(args, engine)
     except MergeConflictError as error:
@@ -308,34 +331,11 @@ def _dispatch(args: argparse.Namespace, engine: ForkBase) -> int:
         return 0
 
     if command == "gc":
-        report_obj = None
+        # The pack store sweeps in place, then rewrites its segments.
         if args.dry_run:
-            from repro.store.gc import collect_garbage
-
             report_obj = collect_garbage(engine, dry_run=True)
-        elif engine.store.supports_in_place_sweep:
-            # The pack backend sweeps in place and reclaims the dead bytes
-            # by rewriting its own segments — no layout swap needed.
-            report_obj = engine.collect_garbage(compact=True)
         else:
-            # The file layout reclaims by compaction into a fresh store of
-            # the same kind, then an atomic directory swap.
-            import os
-            import shutil
-
-            from repro.store import FileStore
-            from repro.store.durability import durable_replace
-            from repro.store.gc import compact_into
-
-            new_dir = os.path.join(args.data_dir, "chunks.compact")
-            shutil.rmtree(new_dir, ignore_errors=True)
-            with FileStore(new_dir) as target:
-                report_obj = compact_into(engine, target)
-            engine.store.close()
-            old_dir = os.path.join(args.data_dir, "chunks")
-            shutil.rmtree(old_dir)
-            durable_replace(new_dir, old_dir)
-            engine.store = FileStore(old_dir)  # reopen for clean close()
+            report_obj = engine.collect_garbage(compact=True)
         print(
             f"live={report_obj.live_chunks} chunks ({report_obj.live_bytes}B), "
             f"reclaimable={report_obj.swept_chunks} chunks "

@@ -40,16 +40,15 @@ from repro.errors import (
     UnknownKeyError,
     map_os_error,
 )
-from repro.faults.crash import crashing_write, crashpoint
 from repro.faults.retry import RetryPolicy
 from repro.postree.diff import TreeDiff
 from repro.postree.merge import MergeConflict, Resolver
-from repro.store import FileStore, InMemoryStore, NodeCacheStore, PackStore
-from repro.store.base import ChunkStore
-from repro.store.durability import durable_replace, fsync_file, read_check
+from repro.store import InMemoryStore, NodeCacheStore, PackStore
+from repro.store.appendlog import write_snapshot
+from repro.store.base import ChunkStore, physical_store
 from repro.types import FBlob, FList, FMap, FObject, FSet, load_object
 from repro.types.convert import PyValue, unwrap, wrap
-from repro.vcs import BranchTable, CommitJournal, FNode, VersionGraph, replay_into
+from repro.vcs import BranchTable, CommitJournal, FNode, VersionGraph, recover_heads
 from repro.vcs.branches import DEFAULT_BRANCH
 
 #: Engine health states: a disk fault that may have lost acknowledged
@@ -200,20 +199,17 @@ class ForkBase:
         author: str = "anonymous",
         fsync: str = "batch",
         journal_limit: int = 1 << 20,
-        backend: str = "auto",
+        backend: str = "pack",
         compression: str = "auto",
         node_cache: int = 0,
     ) -> "ForkBase":
         """Open (or create) a durable engine rooted at ``directory``.
 
-        Chunks live in an append-only durable store — ``backend`` picks
-        one-record-per-read :class:`FileStore` (``"file"``, the default
-        for fresh directories) or mmap-backed, compressed
-        :class:`~repro.store.packstore.PackStore` (``"pack"``);
-        ``"auto"`` detects which layout already lives on disk.  Both
-        yield bit-identical uids and roots — the backend is invisible
-        above the chunk layer.  ``compression`` is the pack codec policy
-        (``auto`` / ``zstd`` / ``zlib`` / ``none``) and ``node_cache``
+        Chunks live in a :class:`~repro.store.packstore.PackStore`;
+        ``"pack"`` is the only legal ``backend``.  A legacy segment layout
+        must first be converted with ``forkbase migrate``.  ``compression``
+        is the pack codec policy (``auto`` / ``zstd`` / ``zlib`` /
+        ``none``) and ``node_cache``
         (entries; 0 disables) layers a decoded-node LRU on top for hot
         tree descents.  Branch heads live in ``branches.json`` next to
         the chunks (the client-side head record of the paper's threat
@@ -240,25 +236,9 @@ class ForkBase:
             engine._lock_handle = lock_handle
             engine._directory = directory
             engine._journal_limit = journal_limit
-            table = BranchTable()
-            snapshot_seq = 0
-            heads_path = os.path.join(directory, "branches.json")
-            if os.path.exists(heads_path):
-                try:
-                    read_check(heads_path, label="branches.json")
-                    with open(heads_path, "r", encoding="utf-8") as handle:
-                        data = json.load(handle)
-                except OSError as exc:
-                    raise map_os_error(exc, "read", heads_path) from exc
-                if isinstance(data, dict) and "heads" in data:
-                    snapshot_seq = int(data.get("seq", 0))
-                    table = BranchTable.from_dict(data["heads"])
-                else:  # legacy snapshot: the bare heads dict, pre-journal
-                    table = BranchTable.from_dict(data)
-            journal = CommitJournal(os.path.join(directory, "journal.wal"), fsync=fsync)
-            engine._seq = replay_into(table, journal.records, after_seq=snapshot_seq)
-            engine.branch_table = table
-            engine._journal = journal
+            engine.branch_table, engine._seq, engine._journal = recover_heads(
+                directory, fsync
+            )
         except BaseException:
             cls._release_lock(lock_handle)
             raise
@@ -268,47 +248,16 @@ class ForkBase:
     def _open_store(
         chunk_dir: str, backend: str, compression: str, node_cache: int
     ) -> ChunkStore:
-        """Build the durable chunk store for :meth:`open`.
-
-        ``auto`` keeps reopen honest: an existing layout on disk decides
-        the backend, and a *fresh* directory defaults to the file layout
-        (seed-compatible) — overridable via the ``FORKBASE_BACKEND``
-        environment variable, which is how CI runs the whole suite against
-        each backend.  Asking explicitly for the wrong backend on a
-        populated directory is an :class:`~repro.errors.EngineError`
-        rather than a silently empty store.
-        """
-        file_layout = os.path.isdir(os.path.join(chunk_dir, "segments"))
-        pack_layout = os.path.isdir(os.path.join(chunk_dir, "packs"))
-        if backend == "auto":
-            if pack_layout and file_layout:
-                raise EngineError(
-                    f"{chunk_dir} holds both a file layout (segments/) and "
-                    f"a pack layout (packs/); open with an explicit backend"
-                )
-            if pack_layout:
-                backend = "pack"
-            elif file_layout:
-                backend = "file"
-            else:
-                backend = os.environ.get("FORKBASE_BACKEND", "file")
-        elif backend == "file" and pack_layout and not file_layout:
+        """Build the pack store for :meth:`open`; refuse a legacy layout
+        rather than open an empty store beside it."""
+        if backend != "pack":
+            raise EngineError(f"unknown storage backend {backend!r} (only 'pack')")
+        if os.path.isdir(os.path.join(chunk_dir, "segments")):
             raise EngineError(
-                f"{chunk_dir} holds a pack-layout store; open with "
-                f"backend='pack' (or 'auto')"
+                f"{chunk_dir} holds a legacy segment layout; convert it "
+                f"with 'forkbase migrate <data-dir>' first"
             )
-        elif backend == "pack" and file_layout and not pack_layout:
-            raise EngineError(
-                f"{chunk_dir} holds a file-layout store; open with "
-                f"backend='file' (or 'auto')"
-            )
-        store: ChunkStore
-        if backend == "file":
-            store = FileStore(chunk_dir)
-        elif backend == "pack":
-            store = PackStore(chunk_dir, compression=compression)
-        else:
-            raise EngineError(f"unknown storage backend {backend!r}")
+        store: ChunkStore = PackStore(chunk_dir, compression=compression)
         if node_cache:
             store = NodeCacheStore(store, capacity=node_cache)
         return store
@@ -365,6 +314,9 @@ class ForkBase:
         record: Dict[str, object] = {"op": op, "seq": self._seq}
         record.update(fields)
         try:
+            if self._journal.fsync == "always":
+                # A head may only become durable after the chunks it names.
+                physical_store(self.store).sync()
             self._journal.append(record)
         except (DiskFullError, DiskFaultError):
             self._seq -= 1
@@ -391,8 +343,7 @@ class ForkBase:
         """
         if self._directory is None:
             return
-        heads_path = os.path.join(self._directory, "branches.json")
-        tmp = heads_path + ".tmp"
+        physical_store(self.store).sync()  # the snapshot names these chunks
         payload = json.dumps(
             {
                 "format": "forkbase-heads/2",
@@ -402,12 +353,8 @@ class ForkBase:
             indent=2,
             sort_keys=True,
         ).encode("utf-8")
-        with open(tmp, "wb") as handle:
-            crashing_write(handle, payload, kind="snapshot-write", label="branches.json")
-            crashpoint("snapshot-fsync", "branches.json")
-            fsync_file(handle)
-        crashpoint("snapshot-replace", "branches.json")
-        durable_replace(tmp, heads_path)
+        heads_path = os.path.join(self._directory, "branches.json")
+        write_snapshot(heads_path, payload, kind="snapshot", label="branches.json")
         if self._journal is not None and not self._journal.closed:
             self._journal.reset()
 
@@ -422,22 +369,15 @@ class ForkBase:
             self.abandon()
             return
         try:
-            if self._directory is not None:
-                try:
-                    self._compact()
-                    if self._journal is not None:
-                        self._journal.close()
-                        self._journal = None
-                except (DiskFullError, DiskFaultError) as exc:
-                    self._degrade(str(exc))
-                    self.abandon()
-                    raise
-            try:
-                self.store.close()
-            except (DiskFullError, DiskFaultError) as exc:
-                self._degrade(str(exc))
-                self.abandon()
-                raise
+            self._compact()
+            if self._journal is not None:
+                self._journal.close()
+                self._journal = None
+            self.store.close()
+        except (DiskFullError, DiskFaultError) as exc:
+            self._degrade(str(exc))
+            self.abandon()
+            raise
         finally:
             self._release_lock(self._lock_handle)
             self._lock_handle = None

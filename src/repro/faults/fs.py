@@ -11,11 +11,11 @@ success if retried on the same descriptor.
 
 The shim (:class:`FaultyOS`) subclasses the no-op
 :class:`~repro.store.durability.DiskInjector` that every persistence
-path already routes its syscalls through, so the journal, FileStore,
-PackStore, gc swap, and heads-snapshot paths are all injectable without
-monkeypatching.  Every decision is a pure function of ``(seed, syscall,
-path, attempt)`` — the same hashing discipline as the other planners —
-so a schedule replays bit-identically.
+path already routes its syscalls through, so the journal, PackStore
+and heads-snapshot paths are all injectable without monkeypatching.
+Every decision is a pure function of ``(seed, syscall, path, attempt)``
+— the same hashing discipline as the other planners — so a schedule
+replays bit-identically.
 
 Two modes, mirroring :class:`CrashPlan`:
 

@@ -108,7 +108,10 @@ class RetryPolicy:
         budget is not a reason to hang on retries that cannot finish.
         """
         last: Optional[BaseException] = None
-        for index, delay in enumerate(list(self.delays()) + [None]):
+        # Drawn lazily: the first attempt, which almost always succeeds,
+        # pays for no jitter hash.
+        delays = self.delays()
+        for index in range(self.attempts):
             before = deadline.remaining() if deadline is not None else None
             if before is not None and before <= 0:
                 self.deadline_stops += 1
@@ -119,6 +122,7 @@ class RetryPolicy:
                 return fn()
             except retry_on as error:  # type: ignore[misc]
                 last = error
+                delay = next(delays, None)
                 if delay is None:
                     break
                 if deadline is not None and before is not None:

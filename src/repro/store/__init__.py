@@ -10,11 +10,9 @@ vs physical bytes and dedup hits.
 Implementations:
 
 - :class:`~repro.store.memory.InMemoryStore` — dict-backed, the default.
-- :class:`~repro.store.filestore.FileStore` — append-only segment files
-  with a persisted index; survives close/reopen.
-- :class:`~repro.store.packstore.PackStore` — append-only pack files with
-  CRC-framed compressed records, mmap reads, a bloom filter, and segment
-  compaction; the throughput-oriented durable backend.
+- :class:`~repro.store.packstore.PackStore` — the durable backend:
+  append-only pack files with CRC-framed compressed records, mmap reads,
+  a bloom filter, and segment compaction; survives close/reopen.
 - :class:`~repro.store.cached.CachedStore` — LRU read-through cache of
   raw chunks over any other store.
 - :class:`~repro.store.nodecache.NodeCacheStore` — LRU cache of *decoded*
@@ -28,7 +26,6 @@ chunks and drives pack segment compaction.
 
 from repro.store.base import ChunkStore, physical_store
 from repro.store.cached import CachedStore
-from repro.store.filestore import FileStore
 from repro.store.memory import InMemoryStore
 from repro.store.nodecache import NodeCacheStore
 from repro.store.packstore import PackStore
@@ -38,7 +35,6 @@ from repro.store.stats import StoreStats
 __all__ = [
     "ChunkStore",
     "CachedStore",
-    "FileStore",
     "InMemoryStore",
     "NodeCacheStore",
     "PackStore",

@@ -214,6 +214,9 @@ class ChunkStore:
     def invalidate_swept(self, uids: List[Uid]) -> None:
         """Drop any cached state for removed uids; default is a no-op."""
 
+    def sync(self) -> None:
+        """Make every stored chunk durable; default is a no-op."""
+
     def close(self) -> None:
         """Release resources; default is a no-op."""
 

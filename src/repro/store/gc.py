@@ -17,14 +17,13 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Set
+from typing import TYPE_CHECKING, Iterable, List, Optional, Set
 
 from repro.chunk import Chunk, ChunkType, Uid
 from repro.errors import StoreError
 from repro.postree.listtree import ListIndexNode
 from repro.postree.node import IndexNode
 from repro.store.base import ChunkStore, physical_store
-from repro.store.memory import InMemoryStore
 from repro.vcs.fnode import FNode
 
 if TYPE_CHECKING:
@@ -69,17 +68,11 @@ class GcReport:
         return self.swept_bytes / total
 
 
-def _unwrap(store: ChunkStore) -> ChunkStore:
-    """Peel cache wrappers down to the physical store.
-
-    Alias of :func:`repro.store.base.physical_store`, kept under the
-    name this module has always exported.
-    """
-    return physical_store(store)
-
-
-def mark_live(store: ChunkStore, roots: Iterable[Uid]) -> Set[Uid]:
-    """Every chunk reachable from ``roots`` (missing chunks are skipped)."""
+def mark_live(
+    store: ChunkStore, roots: Iterable[Uid], missing: Optional[Set[Uid]] = None
+) -> Set[Uid]:
+    """Every chunk reachable from ``roots``; missing chunks are skipped
+    (and collected into ``missing`` when given)."""
     live: Set[Uid] = set()
     stack = list(roots)
     while stack:
@@ -88,6 +81,8 @@ def mark_live(store: ChunkStore, roots: Iterable[Uid]) -> Set[Uid]:
             continue
         chunk = store.get_maybe(uid)
         if chunk is None:
+            if missing is not None:
+                missing.add(uid)
             continue
         live.add(uid)
         stack.extend(chunk_children(chunk))
@@ -105,8 +100,8 @@ def collect_garbage(
     In-place sweeping needs a store whose ``delete`` reclaims durably
     (``supports_in_place_sweep``): the dict-backed store frees memory
     immediately, and the pack store drops index entries whose bytes die
-    at the next segment compaction.  One-file-per-record stores should
-    use :func:`compact_into` (copy-live-out) instead.
+    at the next segment compaction.  Stores without durable deletes (a
+    replicated cluster store) use :func:`compact_into` (copy-live-out).
 
     With ``compact=True``, a pack-backed store additionally rewrites its
     live records into fresh segments after the sweep and unlinks the dead
@@ -135,7 +130,7 @@ def collect_garbage(
             swept_bytes += chunk.size()
 
     if not dry_run and doomed:
-        if not (store.supports_in_place_sweep or isinstance(store, InMemoryStore)):
+        if not store.supports_in_place_sweep:
             raise StoreError(
                 "in-place sweep requires a store with durable deletes; "
                 "use compact_into()"
@@ -153,7 +148,7 @@ def collect_garbage(
     segments_after = 0
     compacted_bytes = 0
     if compact and not dry_run:
-        physical = _unwrap(store)
+        physical = physical_store(store)
         compactor = getattr(physical, "compact_segments", None)
         if callable(compactor):
             outcome = compactor()

@@ -1,34 +1,26 @@
-"""Append-only pack-file chunk store: the inode-frugal durable backend.
+"""Append-only pack-file chunk store: the durable chunk backend.
 
-Where :class:`~repro.store.filestore.FileStore` pays an open/seek/read/
-close syscall trio per fetch, a PackStore serves reads from mmap-backed
-pack segments — one file per ~64 MB of chunks instead of one file per
-chunk family — with three additions the indexing-structure survey
-(arXiv:2003.02090) shows matter at scale:
+Chunks live in sized pack segments, each written through one
+:class:`~repro.store.appendlog.AppendLog` (which owns the un-ack and
+fsync-recovery discipline) and read back through mmap slices.  On top of
+the log the store adds what the indexing-structure survey
+(arXiv:2003.02090) shows matters at scale:
 
-- **CRC-framed records with per-record compression.**  Each record is
-  ``[tag][codec][stored_len][raw_len][digest][crc32]`` followed by the
-  stored payload.  The codec byte is negotiated per record: ``zstd`` when
-  the optional ``zstandard`` module is importable, stdlib ``zlib``
+- **CRC-framed records with per-record compression**:
+  ``[tag][codec][stored_len][raw_len][digest][crc32]`` then the stored
+  payload.  The codec is zstd when ``zstandard`` is importable, zlib
   otherwise, raw whenever compression does not shrink the payload.  The
-  CRC covers header and payload, so frame rot is detected before bytes
-  are ever decompressed; the embedded digest lets index rebuilds recover
-  uids without decompressing.
-- **A durable FBPX offset index** with per-segment watermarks, written
-  with the same fsync-before-rename discipline as every other snapshot in
-  the repo (:mod:`repro.store.durability`) and instrumented with
-  crash-points so the torture suite can kill the store at every append
-  and index-save boundary.  Torn tails truncate on recovery; interior rot
-  raises the :mod:`repro.errors` taxonomy errors.
-- **A bloom existence filter** over the uid space so negative ``has()``
-  probes are answered from a few bit tests — no index probe, no disk.
-  Content addresses are already uniform SHA-256 output, so the filter's
-  hash functions are just four 64-bit slices of the digest.
+  CRC is checked before anything is decompressed, and the embedded digest
+  lets an index rebuild recover uids without decompressing.
+- **A durable FBPX offset index** with per-segment watermarks, saved with
+  the fsync-before-rename discipline and crash-points at every step.
+  Torn tails truncate on recovery; interior rot raises.
+- **A bloom existence filter** answering negative ``has()`` probes from
+  four 64-bit slices of the (already uniform) SHA-256 digest.
 
-Deletes drop the index entry (durable at the next index snapshot, exactly
-like FileStore); dead bytes are reclaimed by :meth:`PackStore.compact_segments`,
-which rewrites live records into fresh segments and unlinks the old ones —
-the pack-aware sweep :mod:`repro.store.gc` drives.
+Deletes drop the index entry (durable at the next index snapshot); dead
+bytes are reclaimed by :meth:`PackStore.compact_segments`, which the
+pack-aware sweep in :mod:`repro.store.gc` drives.
 """
 
 from __future__ import annotations
@@ -37,34 +29,28 @@ import mmap
 import os
 import struct
 import zlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.chunk import Chunk, ChunkType, Uid
 from repro.errors import (
     ChunkCorruptionError,
-    DiskFaultError,
-    DiskFullError,
     StoreClosedError,
     StoreError,
     TransientStoreError,
     map_os_error,
 )
-from repro.faults.crash import crashing_write, crashpoint
-from repro.faults.retry import RetryPolicy
+from repro.faults.crash import crashpoint
+from repro.store.appendlog import AppendLog, write_snapshot
 from repro.store.base import ChunkStore
-from repro.store.durability import (
-    durable_replace,
-    fsync_dir,
-    fsync_file,
-    fsync_path,
-    read_check,
-    write_bytes,
-)
+from repro.store.durability import fsync_dir, fsync_path, read_check
 
 try:  # optional accelerator: per-record zstd compression
     import zstandard as _zstd
 except ImportError:  # pragma: no cover - optional dependency
     _zstd = None  # type: ignore[assignment]
+
+#: What a failed inflate raises: the stored bytes are bad.
+_INFLATE_ERRORS = (zlib.error,) if _zstd is None else (zlib.error, _zstd.ZstdError)
 
 #: Record frame: type tag, codec id, stored length, raw length, digest.
 #: A >I crc32 over these fields plus the stored payload follows.
@@ -129,14 +115,40 @@ class _Bloom:
         return self.count * self.BITS_PER_KEY > (self._mask + 1)
 
 
+def read_index(
+    path: str,
+    magic: bytes,
+    entry: struct.Struct,
+    sizes: Mapping[int, int],
+    extent: Callable[[Tuple[Any, ...]], int],
+) -> Optional[Tuple[Dict[int, int], List[Tuple[Any, ...]]]]:
+    """Parse ``magic``, entry and segment counts, ``(segment, length)``
+    watermarks, then ``entry`` records led by ``(digest, segment, offset)``.
+    None if absent, foreign, truncated or stale (a watermarked segment is
+    missing from ``sizes`` or shorter than its watermark, or an entry's
+    ``extent`` reaches past its segment's watermark)."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        count, seg_count = struct.unpack_from(">QQ", data, len(magic))
+        end = len(magic) + 16 + seg_count * _WATERMARK_ENTRY.size
+        marks = dict(_WATERMARK_ENTRY.iter_unpack(data[len(magic) + 16 : end]))
+        entries = list(entry.iter_unpack(data[end : end + count * entry.size]))
+    except (OSError, struct.error):
+        return None
+    if data[: len(magic)] != magic or (len(marks), len(entries)) != (seg_count, count):
+        return None
+    if any(sizes.get(segment, -1) < mark for segment, mark in marks.items()):
+        return None
+    if any(extent(fields) > marks.get(fields[1], -1) for fields in entries):
+        return None
+    return marks, entries
+
+
 class PackStore(ChunkStore):
     """Durable chunk store over compressed, CRC-framed pack files."""
 
     supports_in_place_sweep = True
-
-    #: Unsynced appends kept in memory for fsync-failure recovery; once
-    #: the buffer exceeds this, the store forces a durable point.
-    _TAIL_LIMIT = 4 * 1024 * 1024
 
     def __init__(
         self,
@@ -156,14 +168,6 @@ class PackStore(ChunkStore):
         self._index: Dict[Uid, Tuple[int, int, int]] = {}
         self._maps: Dict[int, mmap.mmap] = {}
         self._closed = False
-        self._poisoned = False
-        #: Record blobs appended since the last successful fsync: the
-        #: rewrite buffer for fsyncgate recovery (reopen-and-rewrite).
-        self._tail: List[bytes] = []
-        self._tail_bytes = 0
-        #: Bounded backoff for transient ENOSPC on the append path only;
-        #: a failed *fsync* is never retried (see :meth:`_recover_fsync`).
-        self._disk_retry = RetryPolicy(attempts=3, base_delay=0.002, max_delay=0.01)
         self._dead_records = 0
         self._dead_bytes = 0
         self.bloom_negatives = 0
@@ -176,23 +180,18 @@ class PackStore(ChunkStore):
         if not self._segments:
             self._segments = [0]
             open(self._segment_path(0), "ab").close()
-        self._active = self._segments[-1]
         if not self._load_index():
             self._rebuild_index()
-        # Recovery may truncate a torn tail off the active segment, and
-        # os.truncate does not move an already-open handle's position.
-        # Open the O_APPEND writer only now, so tell() equals true EOF
-        # and appended records are indexed at the offset they land on.
+        # Recovery may truncate a torn tail off the active segment, so
+        # the log opens only now: its end is the true EOF and appended
+        # records are indexed at the offset they land on.
         self._active = self._segments[-1]
-        self._writer = open(self._segment_path(self._active), "ab")
-        #: Segment offset at the last successful fsync (durable floor).
-        self._synced = self._writer.tell()
+        self._log = self._open_log(self._active)
         self._bloom = self._rebuild_bloom()
 
     @property
     def poisoned(self) -> bool:
-        """True once an unrecoverable disk fault disabled the writer."""
-        return self._poisoned
+        return self._log.poisoned
 
     # -- codec negotiation ---------------------------------------------------
 
@@ -219,29 +218,22 @@ class PackStore(ChunkStore):
 
     @staticmethod
     def _decompress(codec: int, stored: bytes, uid: Uid) -> bytes:
-        if codec == _CODEC_RAW:
-            return stored
-        if codec == _CODEC_ZLIB:
-            try:
+        if codec == _CODEC_ZSTD and _zstd is None:
+            # The data is (probably) fine; this environment cannot read
+            # it.  Transient, not rot: do not let a scrub quarantine it.
+            raise TransientStoreError(
+                f"record for {uid.short()} is zstd-compressed but "
+                f"zstandard is not importable here"
+            )
+        try:
+            if codec == _CODEC_ZLIB:
                 return zlib.decompress(stored)
-            except zlib.error as exc:
-                raise ChunkCorruptionError(
-                    f"pack record for {uid.short()} fails zlib inflate: {exc}"
-                ) from exc
-        if codec == _CODEC_ZSTD:
-            if _zstd is None:
-                # The data is (probably) fine; this environment cannot read
-                # it.  Transient, not rot: do not let a scrub quarantine it.
-                raise TransientStoreError(
-                    f"record for {uid.short()} is zstd-compressed but "
-                    f"zstandard is not importable here"
-                )
-            try:
-                return _zstd.ZstdDecompressor().decompress(stored)
-            except _zstd.ZstdError as exc:
-                raise ChunkCorruptionError(
-                    f"pack record for {uid.short()} fails zstd inflate: {exc}"
-                ) from exc
+            if codec == _CODEC_ZSTD:
+                return _zstd.ZstdDecompressor().decompress(stored)  # type: ignore[union-attr]
+        except _INFLATE_ERRORS as exc:
+            raise ChunkCorruptionError(
+                f"pack record for {uid.short()} fails to inflate: {exc}"
+            ) from exc
         raise ChunkCorruptionError(
             f"pack record for {uid.short()} carries unknown codec {codec}"
         )
@@ -269,12 +261,6 @@ class PackStore(ChunkStore):
             int(chunk.type), codec, len(stored), len(raw), chunk.uid.digest
         )
         return fields + _CRC.pack(zlib.crc32(fields + stored)) + stored
-
-    @staticmethod
-    def _parse_frame(frame: bytes) -> Tuple[int, int, int, int, bytes, int]:
-        tag, codec, stored_len, raw_len, digest = _FRAME.unpack(frame[: _FRAME.size])
-        (crc,) = _CRC.unpack(frame[_FRAME.size : _FRAME_SIZE])
-        return tag, codec, stored_len, raw_len, digest, crc
 
     def _decode_record(self, record: bytes, uid: Uid) -> Chunk:
         """Frame-check, decompress, and rehydrate one packed record."""
@@ -312,60 +298,23 @@ class PackStore(ChunkStore):
     # -- index persistence ---------------------------------------------------
 
     def _load_index(self) -> bool:
-        """Load the FBPX snapshot; False if absent, corrupt, or stale.
+        """Load the FBPX snapshot; False if :func:`read_index` refuses it.
 
-        Same staleness rules as FileStore's FBIX (every watermarked
-        segment must exist, none may have shrunk, every entry must fall
-        inside its watermark), plus two pack-specific steps: segment files
-        *below* the newest watermarked segment but absent from the table
-        are compaction leftovers from a crash and are unlinked; segment
-        files *above* it post-date the snapshot and are scanned from zero.
+        Segment files *below* the newest watermarked segment but absent
+        from the table are compaction leftovers from a crash and are
+        unlinked; segment files *above* it post-date the snapshot and are
+        scanned from zero.
         """
-        path = self._index_path()
-        if not os.path.exists(path):
+        sizes = {segment: self._segment_size(segment) for segment in self._segments}
+        snapshot = read_index(
+            self._index_path(), _INDEX_MAGIC, _INDEX_ENTRY, sizes,
+            extent=lambda entry: entry[2] + entry[3],  # offset + record length
+        )
+        if snapshot is None or not snapshot[0]:
             return False
-        watermarks: Dict[int, int] = {}
-        try:
-            with open(path, "rb") as handle:
-                magic = handle.read(len(_INDEX_MAGIC))
-                if magic != _INDEX_MAGIC:
-                    return False
-                (count,) = struct.unpack(">Q", handle.read(8))
-                (seg_count,) = struct.unpack(">Q", handle.read(8))
-                for _ in range(seg_count):
-                    raw = handle.read(_WATERMARK_ENTRY.size)
-                    if len(raw) != _WATERMARK_ENTRY.size:
-                        return False
-                    segment, length = _WATERMARK_ENTRY.unpack(raw)
-                    watermarks[segment] = length
-                for _ in range(count):
-                    raw = handle.read(_INDEX_ENTRY.size)
-                    if len(raw) != _INDEX_ENTRY.size:
-                        return False
-                    digest, segment, offset, length = _INDEX_ENTRY.unpack(raw)
-                    self._index[Uid(digest)] = (segment, offset, length)
-                self.stats.record_io(read=handle.tell())
-        except (OSError, struct.error):
-            self._index.clear()
-            return False
-        if not watermarks:
-            self._index.clear()
-            return False
-        known = set(self._segments)
-        for segment, watermark in watermarks.items():
-            if segment not in known:
-                self._index.clear()
-                return False  # indexed segment vanished
-            if os.path.getsize(self._segment_path(segment)) < watermark:
-                self._index.clear()
-                return False  # segment shrank: offsets can dangle
-        for segment, offset, length in self._index.values():
-            if segment not in watermarks:
-                self._index.clear()
-                return False  # entry points into an untracked segment
-            if offset + length > watermarks[segment]:
-                self._index.clear()
-                return False  # record past the indexed region
+        watermarks, entries = snapshot
+        self._index = {Uid(digest): (seg, at, length) for digest, seg, at, length in entries}
+        self.stats.record_io(read=os.path.getsize(self._index_path()))
         newest = max(watermarks)
         survivors: List[int] = []
         for segment in self._segments:
@@ -388,85 +337,52 @@ class PackStore(ChunkStore):
             self._scan_segment(segment)
 
     def _scan_segment(self, segment: int, start: int = 0) -> None:
-        """Index records from ``start``; truncate tears, raise on rot.
+        """Index records from ``start``; truncate a torn tail, raise on rot.
 
-        A *torn tail* — an incomplete frame or payload at EOF, the
-        signature of a crashed append — is truncated away so the segment
-        ends on a record boundary again.  A *complete* record that fails
-        its CRC (or carries an unknown tag) is interior rot: appends are
-        prefix writes, so damage inside a full frame cannot be a crash
-        artifact, and recovery stops loudly rather than silently dropping
-        indexed history.  The embedded digest means no decompression is
-        needed here, so even zstd-packed segments rebuild in an
-        environment without zstandard.
+        An incomplete frame or payload at EOF is a crashed append and is
+        truncated away.  A *complete* record failing its CRC (or carrying
+        an unknown tag) is interior rot, since appends are prefix writes.
+        The embedded digest means no decompression is needed here.
         """
         path = self._segment_path(segment)
-        end = os.path.getsize(path)
         with open(path, "rb") as handle:
             handle.seek(start)
-            offset = start
-            torn = False
-            while True:
-                frame = handle.read(_FRAME_SIZE)
-                if not frame:
-                    break  # clean EOF
-                if len(frame) < _FRAME_SIZE:
-                    torn = True  # partial frame at EOF
-                    break
-                tag, codec, stored_len, raw_len, digest, crc = self._parse_frame(frame)
-                stored = handle.read(stored_len)
-                if len(stored) < stored_len:
-                    torn = True  # partial payload at EOF
-                    break
-                if zlib.crc32(frame[: _FRAME.size] + stored) != crc:
-                    raise ChunkCorruptionError(
-                        f"pack segment {segment} has a rotten record at "
-                        f"offset {offset} (frame CRC mismatch)"
-                    )
-                try:
-                    ChunkType(tag)
-                except ValueError as exc:
-                    raise ChunkCorruptionError(
-                        f"pack segment {segment} has a rotten record at "
-                        f"offset {offset} (unknown tag {tag})"
-                    ) from exc
-                length = _FRAME_SIZE + stored_len
-                self._index[Uid(digest)] = (segment, offset, length)
-                offset += length
-            self.stats.record_io(read=offset - start)
-        if torn and offset < end:
-            os.truncate(path, offset)
+            data = handle.read()
+        at = 0
+        while at + _FRAME_SIZE <= len(data):
+            tag, _codec, stored_len, _raw_len, digest = _FRAME.unpack_from(data, at)
+            (crc,) = _CRC.unpack_from(data, at + _FRAME.size)
+            end = at + _FRAME_SIZE + stored_len
+            if end > len(data):
+                break  # partial payload at EOF
+            fields_crc = zlib.crc32(data[at : at + _FRAME.size])
+            if zlib.crc32(data[at + _FRAME_SIZE : end], fields_crc) != crc:
+                problem = "frame CRC mismatch"
+            elif tag not in _TAG_TO_TYPE:
+                problem = f"unknown tag {tag}"
+            else:
+                self._index[Uid(digest)] = (segment, start + at, end - at)
+                at = end
+                continue
+            raise ChunkCorruptionError(
+                f"pack segment {segment} has a rotten record at "
+                f"offset {start + at} ({problem})"
+            )
+        self.stats.record_io(read=at)
+        if at < len(data):  # a torn tail: partial frame or payload at EOF
+            os.truncate(path, start + at)
             fsync_path(path)
 
     def _save_index(self) -> None:
-        """Write the FBPX snapshot durably (fsync before rename).
-
-        Instrumented as the ``packindex-write`` / ``packindex-fsync`` /
-        ``packindex-replace`` crash boundaries so the torture suite can
-        kill the store around every step.
-        """
-        path = self._index_path()
-        tmp = path + ".tmp"
-        parts: List[bytes] = [_INDEX_MAGIC]
-        parts.append(struct.pack(">Q", len(self._index)))
-        parts.append(struct.pack(">Q", len(self._segments)))
+        """Write the FBPX snapshot durably (fsync before rename), with a
+        ``packindex-*`` crash boundary at each step."""
+        parts = [_INDEX_MAGIC, struct.pack(">QQ", len(self._index), len(self._segments))]
         for segment in self._segments:
-            try:
-                length = os.path.getsize(self._segment_path(segment))
-            except FileNotFoundError:
-                length = 0  # never-flushed fresh segment: watermark at zero
-            except OSError as exc:
-                raise map_os_error(exc, "stat", self._segment_path(segment)) from exc
-            parts.append(_WATERMARK_ENTRY.pack(segment, length))
+            parts.append(_WATERMARK_ENTRY.pack(segment, self._segment_size(segment)))
         for uid, (segment, offset, length) in self._index.items():
             parts.append(_INDEX_ENTRY.pack(uid.digest, segment, offset, length))
         payload = b"".join(parts)
-        with open(tmp, "wb") as handle:
-            crashing_write(handle, payload, kind="packindex-write", label="pack-index")
-            crashpoint("packindex-fsync", "pack-index")
-            fsync_file(handle)
-        crashpoint("packindex-replace", "pack-index")
-        durable_replace(tmp, path)
+        write_snapshot(self._index_path(), payload, kind="packindex", label="pack-index")
         self.stats.record_io(written=len(payload))
 
     def _rebuild_bloom(self) -> _Bloom:
@@ -478,25 +394,21 @@ class PackStore(ChunkStore):
     # -- mmap read path ------------------------------------------------------
 
     def _view(self, segment: int, offset: int, length: int) -> bytes:
-        """Slice ``length`` bytes out of a segment through its mmap.
+        """Slice ``length`` bytes out of a segment through its (re)mapped mmap.
 
-        Maps lazily and remaps when the active segment has grown past the
-        cached map.  An empty or shrunken segment yields a torn-record
-        error rather than wrong bytes.
+        A shrunken segment yields a torn-record error, never wrong bytes.
+        Every read crosses the disk-fault seam (a no-op call when unarmed).
         """
+        path = self._segment_path(segment)
+        read_check(path, label=f"pack:{segment}")
         mapped = self._maps.get(segment)
         if mapped is None or offset + length > len(mapped):
             if mapped is not None:
                 mapped.close()
                 self._maps.pop(segment, None)
-            path = self._segment_path(segment)
-            if segment == self._active and not self._writer.closed:
-                try:
-                    self._writer.flush()
-                except OSError as exc:
-                    raise map_os_error(exc, "write", path) from exc
+            if segment == self._active and not self._log.closed:
+                self._log.flush()
             try:
-                read_check(path, label=f"pack:{segment}")
                 size = os.path.getsize(path)
             except FileNotFoundError as exc:
                 raise StoreError(f"pack segment {segment} vanished") from exc
@@ -533,154 +445,68 @@ class PackStore(ChunkStore):
 
     # -- primitives ----------------------------------------------------------
 
-    def _check_writer(self) -> None:
-        if self._closed:
-            raise StoreClosedError("store is closed")
-        if self._poisoned:
-            raise DiskFaultError(
-                f"{self._dir}: writer poisoned by an unrecoverable disk fault",
-                syscall="write",
-                path=self._segment_path(self._active),
-            )
+    def _open_log(self, segment: int) -> AppendLog:
+        return AppendLog(
+            self._segment_path(segment),
+            "pack",
+            on_lost=lambda floor: self._unack(segment, floor),
+        )
 
-    def _roll_segment(self) -> None:
-        """Retire the active segment and open the next one.
-
-        The retiring segment gets watermarked at its full size by the
-        next index snapshot; fsync (with fsync-failure recovery) before
-        closing so a power loss cannot shrink it below that watermark.
-        """
-        self._sync_writer(f"roll:{self._active}")
-        self._writer.close()
-        self._active += 1
-        self._segments.append(self._active)
-        self._writer = open(self._segment_path(self._active), "ab")
-        self._synced = 0
-        self._tail = []
-        self._tail_bytes = 0
-
-    def _unwind_append(self, offset: int) -> None:
-        """Un-ack a failed append: truncate the partial record away.
-
-        A short write may have materialized a strict prefix; the index
-        and bloom have not been touched yet, so truncating back to
-        ``offset`` keeps the segment ending on a record boundary.  If
-        even the truncate fails the writer is poisoned.
-        """
-        try:
-            self._writer.flush()
-            os.ftruncate(self._writer.fileno(), offset)
-            self._writer.seek(0, os.SEEK_END)
-        except OSError as exc:
-            self._poisoned = True
-            raise map_os_error(exc, "truncate", self._segment_path(self._active)) from exc
-
-    def _sync_writer(self, label: str) -> None:
-        """Fsync the active segment, recovering a failed fsync safely."""
-        try:
-            fsync_file(self._writer, label)
-        except (DiskFullError, DiskFaultError) as exc:
-            self._recover_fsync(exc)
-        self._synced = self._writer.tell()
-        self._tail = []
-        self._tail_bytes = 0
-
-    def _recover_fsync(self, cause: StoreError) -> None:
-        """Reopen-and-rewrite after a failed fsync (fsyncgate discipline).
-
-        The failed descriptor may have dropped the unsynced tail and
-        would falsely report success if fsynced again, so it is never
-        reused: open a fresh descriptor, truncate to the durable floor,
-        rewrite the tail records, and fsync *that*.  Failing twice
-        poisons the writer, un-indexes the records that never made it to
-        the platter, and rebuilds the bloom over the pruned index.
-        """
-        path = self._segment_path(self._active)
-        self._writer.close()
-        last: StoreError = cause
-        for _ in range(2):
-            try:
-                handle = open(path, "r+b")
-            except OSError as exc:
-                last = map_os_error(exc, "open", path)
-                break
-            try:
-                handle.truncate(self._synced)
-                handle.seek(self._synced)
-                for blob in self._tail:
-                    write_bytes(handle, blob)
-                fsync_file(handle, "fsync-recovery")
-            except (DiskFullError, DiskFaultError) as exc:
-                last = exc
-                handle.close()
-                continue
-            except OSError as exc:
-                last = map_os_error(exc, "write", path)
-                handle.close()
-                continue
-            self._writer = handle
-            return
-        self._poisoned = True
+    def _unack(self, segment: int, floor: int) -> None:
+        """A segment's log lost everything past ``floor``: un-index it."""
         doomed = [
             uid
-            for uid, (segment, offset, _length) in self._index.items()
-            if segment == self._active and offset >= self._synced
+            for uid, (where, offset, _length) in self._index.items()
+            if where == segment and offset >= floor
         ]
         for uid in doomed:
             del self._index[uid]
         self._bloom = self._rebuild_bloom()
-        raise DiskFaultError(
-            f"{path}: writer poisoned after failed fsync recovery "
-            f"({len(doomed)} unsynced records un-acked): {last}",
-            syscall="fsync",
-            path=path,
-        ) from last
+
+    def _check_open(self) -> None:
+        # A poisoned log refuses writes itself.
+        if self._closed:
+            raise StoreClosedError("store is closed")
+
+    def _roll(self, log: AppendLog, segments: List[int]) -> AppendLog:
+        """Retire ``log`` (fsynced: the next snapshot watermarks its full
+        size, which a power loss must not shrink); open the next segment."""
+        log.sync(f"roll:{segments[-1]}")
+        log.close()
+        segments.append(segments[-1] + 1)
+        return self._open_log(segments[-1])
 
     def _append(self, chunk: Chunk) -> None:
         """Append one framed record (write boundary; no flush)."""
         record = self._encode_record(chunk)
-        if self._writer.tell() >= self._segment_limit:
-            self._roll_segment()
-        offset = self._writer.tell()
-        try:
-            crashing_write(
-                self._writer, record, kind="pack-write", label=chunk.uid.short()
-            )
-        except (DiskFullError, DiskFaultError):
-            self._unwind_append(offset)
-            raise
+        if self._log.end >= self._segment_limit:
+            self._log = self._roll(self._log, self._segments)
+            self._active = self._segments[-1]
+        # Labelled by type, not uid: commit-node uids embed timestamps, and
+        # crash-census stamps must replay identically across runs.
+        offset = self._log.append(record, label=chunk.type.name)
         self._index[chunk.uid] = (self._active, offset, len(record))
         self._bloom.add(chunk.uid)
         if self._bloom.saturated:
             self._bloom = self._rebuild_bloom()
-        self._tail.append(record)
-        self._tail_bytes += len(record)
         self.stats.record_io(written=len(record))
-        if self._tail_bytes > self._TAIL_LIMIT:
-            # Bound the rewrite buffer: force a durable point so the
-            # fsync-recovery tail cannot grow without limit.
-            self._sync_writer("tail-limit")
-
-    def _flush_writer(self) -> None:
-        try:
-            self._writer.flush()
-        except OSError as exc:
-            # Buffer state is unknowable after a failed flush: poison.
-            self._poisoned = True
-            raise map_os_error(exc, "write", self._segment_path(self._active)) from exc
 
     def _insert(self, chunk: Chunk) -> None:
-        self._check_writer()
-        self._disk_retry.call(lambda: self._append(chunk), retry_on=(DiskFullError,))
-        self._flush_writer()
+        self._check_open()
+        self._append(chunk)
+        self._log.flush()
+
+    def sync(self) -> None:
+        if not self._closed:  # close() already made everything durable
+            self._log.sync("sync")
 
     def _insert_many(self, chunks: List[Chunk]) -> None:
         """Batched append: one fsync and one index snapshot per batch."""
-        self._check_writer()
+        self._check_open()
         for chunk in chunks:
-            self._disk_retry.call(lambda c=chunk: self._append(c), retry_on=(DiskFullError,))
+            self._append(chunk)
         crashpoint("pack-fsync", f"batch:{len(chunks)}")
-        self._sync_writer(f"batch:{len(chunks)}")
+        self._log.sync(f"batch:{len(chunks)}")
         self._save_index()
 
     def _fetch(self, uid: Uid) -> Optional[Chunk]:
@@ -705,11 +531,10 @@ class PackStore(ChunkStore):
         return uid in self._index
 
     def _delete(self, uid: Uid) -> bool:
-        """Drop the index entry; pack bytes die at the next compaction.
+        """Drop the index entry; the bytes die at the next compaction.
 
-        Durable across reopen once an index snapshot lands (batch put,
-        compaction, or close): the watermark table keeps dead records
-        below the watermark from being rescanned back in.
+        Durable once an index snapshot lands: watermarks keep dead records
+        from being rescanned back in.
         """
         location = self._index.pop(uid, None)
         if location is None:
@@ -727,13 +552,8 @@ class PackStore(ChunkStore):
     # -- diagnostics ---------------------------------------------------------
 
     def diagnose_record(self, uid: Uid) -> str:
-        """Frame-level verdict for one packed record (scrub integration).
-
-        Returns ``'ok' | 'missing' | 'torn' | 'crc' | 'codec'`` without
-        raising: the scrubber uses this to tell deterministic on-disk
-        frame rot from transient wire trouble, skipping the pointless
-        re-read it would otherwise spend on a packed store.
-        """
+        """``'ok' | 'missing' | 'torn' | 'crc' | 'codec'`` for one record, never
+        raising: scrub tells on-disk frame rot from wire trouble by it."""
         location = self._index.get(uid)
         if location is None:
             return "missing"
@@ -758,82 +578,61 @@ class PackStore(ChunkStore):
 
     def disk_size(self) -> int:
         """Bytes currently occupied on disk by pack segments."""
-        total = 0
-        for segment in self._segments:
-            try:
-                total += os.path.getsize(self._segment_path(segment))
-            except FileNotFoundError:
-                pass  # fresh segment not yet materialized
-            except OSError as exc:
-                raise map_os_error(exc, "stat", self._segment_path(segment)) from exc
-        return total
+        return sum(self._segment_size(segment) for segment in self._segments)
+
+    def _segment_size(self, segment: int) -> int:
+        path = self._segment_path(segment)
+        try:
+            return os.path.getsize(path)
+        except FileNotFoundError:
+            return 0  # fresh segment not yet materialized
+        except OSError as exc:
+            raise map_os_error(exc, "stat", path) from exc
 
     # -- compaction ----------------------------------------------------------
 
     def compact_segments(self) -> Dict[str, int]:
-        """Rewrite live records into fresh segments; unlink dead ones.
+        """Copy live records verbatim into fresh segments; unlink the old.
 
-        Records are copied verbatim (no recompression), so uids, codecs,
-        and CRCs are preserved bit-for-bit.  The new index snapshot is
-        durable *before* the old segments are unlinked; a crash anywhere
-        in between leaves either the old layout (new segments are simply
-        rescanned or cleaned) or the new one — never data loss.
+        The new index snapshot is durable *before* the old segments are
+        unlinked, so a crash anywhere leaves either the old layout (new
+        segments are rescanned or cleaned) or the new one.
         """
-        self._check_writer()
+        self._check_open()
         old_segments = list(self._segments)
         bytes_before = self.disk_size()
-        # Establish a durable floor before retiring the old writer: the
-        # rewrite buffer must be empty when the handle goes away.
-        self._sync_writer("compact-prep")
-        self._writer.close()
+        # Durable floor first: the old active segment must be complete on
+        # disk before a snapshot that forgets it can land.
+        self._log.sync("compact-prep")
 
         ordered = sorted(self._index.items(), key=lambda kv: (kv[1][0], kv[1][1]))
-        next_segment = self._active + 1
-        new_segments: List[int] = [next_segment]
-        writer = open(self._segment_path(next_segment), "ab")
+        new_segments: List[int] = [self._active + 1]
+        writer = self._open_log(new_segments[-1])
         new_index: Dict[Uid, Tuple[int, int, int]] = {}
         try:
             for uid, (segment, offset, length) in ordered:
+                if writer.end >= self._segment_limit:
+                    writer = self._roll(writer, new_segments)
                 record = self._view(segment, offset, length)
-                position = writer.tell()
-                if position >= self._segment_limit:
-                    fsync_file(writer)
-                    writer.close()
-                    next_segment += 1
-                    new_segments.append(next_segment)
-                    writer = open(self._segment_path(next_segment), "ab")
-                    position = 0
-                crashing_write(writer, record, kind="pack-write", label=f"compact:{uid.short()}")
-                new_index[uid] = (next_segment, position, length)
+                position = writer.append(record, label="compact")
+                new_index[uid] = (new_segments[-1], position, length)
                 self.stats.record_io(written=length)
             crashpoint("pack-fsync", "compact")
-            fsync_file(writer)
+            writer.sync("compact")
             fsync_dir(self._pack_dir)
-        except (DiskFullError, DiskFaultError, OSError) as exc:
-            # The old layout is untouched on disk: drop the half-built
-            # segments and resume appending to the old active one.  The
-            # failed descriptor is never fsynced again (fsyncgate).
-            if not writer.closed:
-                writer.close()
+        except StoreError:
+            # The old layout is untouched on disk and its log still open:
+            # drop the half-built segments and keep appending to the old.
+            writer.abandon()
             for segment in new_segments:
                 self._drop_segment_file(segment)
-            self._writer = open(self._segment_path(self._active), "ab")
-            self._synced = self._writer.tell()
-            self._tail = []
-            self._tail_bytes = 0
-            if isinstance(exc, OSError):
-                raise map_os_error(
-                    exc, "write", self._segment_path(next_segment)
-                ) from exc
             raise
 
+        self._log.close()
         self._index = new_index
         self._segments = new_segments
         self._active = new_segments[-1]
-        self._writer = writer
-        self._synced = writer.tell()
-        self._tail = []
-        self._tail_bytes = 0
+        self._log = writer
         self._save_index()
         # The snapshot no longer references the old segments: unlink them.
         for segment in old_segments:
@@ -862,15 +661,15 @@ class PackStore(ChunkStore):
     def close(self) -> None:
         if self._closed:
             return
-        if self._poisoned:
+        if self._log.poisoned:
             # The writer is disabled and the in-memory index already had
             # its un-durable entries removed; persisting a snapshot would
             # launder the poisoned state into "clean close".  Abandon and
             # let reopen rebuild from the watermark scan.
             self.abandon()
             return
-        self._sync_writer("close")
-        self._writer.close()
+        self._log.sync("close")
+        self._log.close()
         self._save_index()
         self._drop_maps()
         self._closed = True
@@ -879,9 +678,6 @@ class PackStore(ChunkStore):
         """Release OS handles without persisting the index (crash sim)."""
         if self._closed:
             return
-        try:
-            self._writer.close()
-        except OSError:
-            pass  # a SIGKILL simulator must not raise on teardown
+        self._log.abandon()
         self._drop_maps()
         self._closed = True

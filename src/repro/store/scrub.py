@@ -27,7 +27,7 @@ from repro.errors import (
     TransientStoreError,
 )
 from repro.faults.retry import RetryPolicy
-from repro.store.base import ChunkStore
+from repro.store.base import ChunkStore, physical_store
 
 
 @dataclass
@@ -87,25 +87,12 @@ def _read_copy_once(
 
 
 def _frame_verdict(store: ChunkStore, uid: Uid) -> Optional[str]:
-    """Ask the physical layer for an on-disk frame diagnosis, if it has one.
-
-    Pack-style backends expose ``diagnose_record`` returning
-    ``'ok' | 'missing' | 'torn' | 'crc' | 'codec'``; cache wrappers are
-    peeled via their public ``backing`` attribute.  None when no layer
-    understands record frames (dict- and file-per-segment stores).
-    """
-    depth = 0
-    while depth < 8:
-        probe = getattr(store, "diagnose_record", None)
-        if callable(probe):
-            verdict = probe(uid)
-            return verdict if isinstance(verdict, str) else None
-        backing = getattr(store, "backing", None)
-        if not isinstance(backing, ChunkStore):
-            return None
-        store = backing
-        depth += 1
-    return None
+    """The pack store's on-disk frame diagnosis of ``uid`` under any cache
+    wrappers (``'ok' | 'missing' | 'torn' | 'crc' | 'codec'``); None when
+    the physical store has no record frames (dict-backed, cluster)."""
+    probe = getattr(physical_store(store), "diagnose_record", None)
+    verdict = probe(uid) if callable(probe) else None
+    return verdict if isinstance(verdict, str) else None
 
 
 def diagnose_copy(

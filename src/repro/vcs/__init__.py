@@ -16,6 +16,9 @@ uid of every branch that has been committed."
 from repro.vcs.branches import BranchTable
 from repro.vcs.fnode import FNode
 from repro.vcs.graph import VersionGraph
-from repro.vcs.journal import CommitJournal, apply_record, replay_into
+from repro.vcs.journal import CommitJournal, apply_record, recover_heads, replay_into
 
-__all__ = ["BranchTable", "CommitJournal", "FNode", "VersionGraph", "apply_record", "replay_into"]
+__all__ = [
+    "BranchTable", "CommitJournal", "FNode", "VersionGraph",
+    "apply_record", "recover_heads", "replay_into",
+]

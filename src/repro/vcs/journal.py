@@ -17,13 +17,10 @@ stores the last sequence it covers, so replay skips records the snapshot
 already contains — that is what makes replay idempotent across a crash
 that lands *between* snapshot rewrite and journal truncation.
 
-Damage model, matching the append-only segment files:
-
-- a **torn tail** (partial final record: the process died mid-append) is
-  expected damage — the tail is truncated and recovery proceeds;
-- a **corrupt interior record** (all bytes present, CRC or decode fails)
-  means history between snapshot and tail cannot be trusted — recovery
-  raises :class:`~repro.errors.JournalCorruptError` instead of guessing.
+Damage model: a **torn tail** (the process died mid-append) is truncated
+and recovery proceeds; a **corrupt interior record** (all bytes present,
+CRC or decode fails) raises :class:`~repro.errors.JournalCorruptError`
+instead of guessing at the history between snapshot and tail.
 
 Fsync policy: ``always`` fsyncs after every append (a commit survives
 power loss before it is acknowledged), ``batch`` every ``batch_interval``
@@ -37,7 +34,7 @@ import json
 import os
 import struct
 import zlib
-from typing import IO, Dict, Iterable, List, Mapping
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.chunk import Uid
 from repro.errors import (
@@ -45,13 +42,12 @@ from repro.errors import (
     DiskFullError,
     JournalCorruptError,
     JournalError,
-    StoreError,
     VersionError,
     map_os_error,
 )
-from repro.faults.crash import crashing_write, crashpoint
-from repro.faults.retry import RetryPolicy
-from repro.store.durability import durable_replace, fsync_file, read_check, write_bytes
+from repro.faults.crash import crashpoint
+from repro.store.appendlog import AppendLog, write_snapshot
+from repro.store.durability import read_check
 from repro.vcs.branches import BranchTable
 
 MAGIC = b"FBWJ0001"
@@ -62,7 +58,7 @@ Record = Dict[str, object]
 
 
 class CommitJournal:
-    """Append-only head-mutation log with checksummed records."""
+    """Checksummed head-mutation records over one :class:`AppendLog`."""
 
     def __init__(self, path: str, fsync: str = "batch", batch_interval: int = 64) -> None:
         if fsync not in FSYNC_POLICIES:
@@ -71,60 +67,53 @@ class CommitJournal:
         self.fsync = fsync
         self.batch_interval = max(1, batch_interval)
         self._records: List[Record] = []
-        self._size = 0
+        #: File offset one past each record in ``_records``: what a lost
+        #: durable floor is compared against to un-ack records.
+        self._ends: List[int] = []
         self._pending = 0
         self._closed = False
-        self._poisoned = False
-        #: Record blobs appended since the last successful fsync: the
-        #: rewrite buffer for fsyncgate recovery (reopen-and-rewrite).
-        self._tail: List[bytes] = []
-        #: File offset at the last successful fsync (durable floor).
-        self._durable = 0
-        #: Bounded backoff for transient ENOSPC on the append path only;
-        #: a failed *fsync* is never retried (see :meth:`_recover_fsync`).
-        self._disk_retry = RetryPolicy(attempts=3, base_delay=0.002, max_delay=0.01)
-        self._handle = self._open_and_scan()
+        self._log: AppendLog
+        self._open_and_scan()
 
     @property
     def poisoned(self) -> bool:
-        """True once an unrecoverable disk fault disabled the journal."""
-        return self._poisoned
+        return self._log.poisoned
 
     # -- open / scan ---------------------------------------------------------
 
-    def _create(self) -> IO[bytes]:
-        try:
-            handle = open(self.path, "wb")
-        except OSError as exc:
-            raise map_os_error(exc, "open", self.path) from exc
-        crashing_write(handle, MAGIC, kind="journal-write", label="magic")
-        try:
-            handle.flush()
-        except OSError as exc:
-            raise map_os_error(exc, "write", self.path) from exc
-        if self.fsync != "never":
-            self._fsync(handle, label="magic")
-        self._size = len(MAGIC)
-        self._durable = self._size
-        return handle
+    def _open_log(self, size: Optional[int]) -> AppendLog:
+        return AppendLog(self.path, "journal", on_lost=self._unack, size=size)
 
-    def _open_and_scan(self) -> IO[bytes]:
+    def _unack(self, floor: int) -> None:
+        """The log lost everything past ``floor``: drop those records."""
+        while self._ends and self._ends[-1] > floor:
+            self._ends.pop()
+            self._records.pop()
+
+    def _create(self) -> None:
+        self._log = self._open_log(0)
+        self._log.append(MAGIC, label="magic")
+        self._log.flush()
+        if self.fsync != "never":
+            self.sync("magic")
+
+    def _open_and_scan(self) -> None:
         """Open the journal, validating records and truncating a torn tail."""
         if not os.path.exists(self.path):
-            return self._create()
+            self._create()
+            return
         try:
             read_check(self.path, label=os.path.basename(self.path))
-            handle = open(self.path, "r+b")
-            data = handle.read()  # journals are bounded by compaction
+            with open(self.path, "rb") as handle:
+                data = handle.read()  # journals are bounded by compaction
         except OSError as exc:
             raise map_os_error(exc, "read", self.path) from exc
         if len(data) < len(MAGIC):
             # Torn creation: the process died writing the magic, so no
             # record can possibly follow.  Start fresh.
-            handle.close()
-            return self._create()
+            self._create()
+            return
         if data[: len(MAGIC)] != MAGIC:
-            handle.close()
             raise JournalCorruptError(f"{self.path}: bad journal magic {data[:8]!r}")
         offset = len(MAGIC)
         total = len(data)
@@ -137,30 +126,22 @@ class CommitJournal:
                 break  # torn payload: crash mid-append
             payload = data[start : start + length]
             if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                handle.close()
                 raise JournalCorruptError(
                     f"{self.path}: CRC mismatch in record at offset {offset}"
                 )
             try:
-                record = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError) as exc:
-                handle.close()
-                raise JournalCorruptError(
-                    f"{self.path}: undecodable record at offset {offset}"
-                ) from exc
+                record = json.loads(payload)
+            except ValueError:  # undecodable UTF-8 or JSON
+                record = None
             if not isinstance(record, dict) or "op" not in record:
-                handle.close()
                 raise JournalCorruptError(
                     f"{self.path}: record at offset {offset} is not an op"
                 )
-            self._records.append(record)
             offset = start + length
-        if offset < total:
-            handle.truncate(offset)  # drop the torn tail for good
-        handle.seek(offset)
-        self._size = offset
-        self._durable = offset
-        return handle
+            self._records.append(record)
+            self._ends.append(offset)
+        # A torn tail is truncated away for good as the log opens.
+        self._log = self._open_log(offset if offset < total else None)
 
     # -- appending -----------------------------------------------------------
 
@@ -168,130 +149,28 @@ class CommitJournal:
         """Durably (per policy) append one op record."""
         if self._closed:
             raise JournalError(f"{self.path}: journal is closed")
-        self._check_poisoned()
         payload = json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
         blob = _HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
-        label = str(record.get("op", ""))
-        self._disk_retry.call(
-            lambda: self._write_blob(blob, label), retry_on=(DiskFullError,)
-        )
+        self._log.append(blob, label=str(record.get("op", "")))
+        # Flush unconditionally: an acknowledged commit must survive a
+        # process kill under every policy; fsync is about power loss.
+        self._log.flush()
         self._records.append(dict(record))
-        self._size += len(blob)
-        self._tail.append(blob)
+        self._ends.append(self._log.end)
         self._pending += 1
         if self.fsync == "always" or (
             self.fsync == "batch" and self._pending >= self.batch_interval
         ):
             self.sync()
 
-    def _check_poisoned(self) -> None:
-        if self._poisoned:
-            raise DiskFaultError(
-                f"{self.path}: journal poisoned by an unrecoverable disk fault",
-                syscall="write",
-                path=self.path,
-            )
-
-    def _write_blob(self, blob: bytes, label: str) -> None:
-        """One append attempt: write + flush, un-acked on any failure."""
-        try:
-            crashing_write(self._handle, blob, kind="journal-write", label=label)
-            # Flush unconditionally: an acknowledged commit must survive a
-            # process kill under every policy; fsync is about power loss.
-            self._handle.flush()
-        except (DiskFullError, DiskFaultError):
-            self._unwind_append()
-            raise
-        except OSError as exc:
-            self._unwind_append()
-            raise map_os_error(exc, "write", self.path) from exc
-
-    def _unwind_append(self) -> None:
-        """Truncate a failed append back to the last acked offset.
-
-        A short write may have materialized a strict prefix of the
-        record; ``self._size`` only advances on success, so truncating
-        there restores the record boundary.  If even the truncate fails
-        the journal is poisoned — no further appends are accepted.
-        """
-        try:
-            self._handle.flush()
-            self._handle.truncate(self._size)
-            self._handle.seek(self._size)
-        except OSError as exc:
-            self._poisoned = True
-            raise map_os_error(exc, "truncate", self.path) from exc
-
-    def _fsync(self, handle: IO[bytes], label: str = "") -> None:
-        crashpoint("journal-fsync", label or os.path.basename(self.path))
-        fsync_file(handle, label or os.path.basename(self.path))
-
-    def sync(self) -> None:
+    def sync(self, label: str = "") -> None:
         """Flush and fsync pending appends regardless of policy."""
         if self._closed:
             return
-        self._check_poisoned()
-        try:
-            self._handle.flush()
-        except OSError as exc:
-            self._poisoned = True
-            raise map_os_error(exc, "write", self.path) from exc
-        try:
-            self._fsync(self._handle)
-        except (DiskFullError, DiskFaultError) as exc:
-            self._recover_fsync(exc)
+        label = label or os.path.basename(self.path)
+        crashpoint("journal-fsync", label)
+        self._log.sync(label)
         self._pending = 0
-        self._durable = self._size
-        self._tail = []
-
-    def _recover_fsync(self, cause: StoreError) -> None:
-        """Reopen-and-rewrite after a failed fsync (fsyncgate discipline).
-
-        The failed descriptor may have dropped the unsynced tail and
-        would falsely report success if fsynced again, so it is never
-        reused: open a fresh descriptor, truncate to the durable floor,
-        rewrite the tail records, and fsync *that*.  Failing twice
-        poisons the journal and un-acks the in-memory records that never
-        reached the platter.
-        """
-        self._handle.close()
-        last: StoreError = cause
-        for _ in range(2):
-            try:
-                handle = open(self.path, "r+b")
-            except OSError as exc:
-                last = map_os_error(exc, "open", self.path)
-                break
-            try:
-                handle.truncate(self._durable)
-                handle.seek(self._durable)
-                for blob in self._tail:
-                    write_bytes(handle, blob)
-                fsync_file(handle, "fsync-recovery")
-            except (DiskFullError, DiskFaultError) as exc:
-                last = exc
-                handle.close()
-                continue
-            except OSError as exc:
-                last = map_os_error(exc, "write", self.path)
-                handle.close()
-                continue
-            self._handle = handle
-            return
-        self._poisoned = True
-        dropped = len(self._tail)
-        if dropped:
-            # The tail blobs and the tail records correspond 1:1; both
-            # must be un-acked together or replay diverges from disk.
-            self._records = self._records[:-dropped]
-        self._size = self._durable
-        self._tail = []
-        raise DiskFaultError(
-            f"{self.path}: journal poisoned after failed fsync recovery "
-            f"({dropped} unsynced records un-acked): {last}",
-            syscall="fsync",
-            path=self.path,
-        ) from last
 
     # -- queries -------------------------------------------------------------
 
@@ -302,7 +181,7 @@ class CommitJournal:
 
     def size(self) -> int:
         """Journal file size in bytes (valid region)."""
-        return self._size
+        return self._log.end
 
     def __len__(self) -> int:
         return len(self._records)
@@ -323,68 +202,34 @@ class CommitJournal:
         """
         if self._closed:
             raise JournalError(f"{self.path}: journal is closed")
-        self._check_poisoned()
-        tmp = self.path + ".tmp"
+        self._log.check_writable()
         try:
-            with open(tmp, "wb") as handle:
-                crashing_write(handle, MAGIC, kind="journal-write", label="reset-magic")
-                crashpoint("journal-fsync", "reset-magic")
-                fsync_file(handle)
+            write_snapshot(
+                self.path, MAGIC, "journal", "reset", before_replace=self._log.close
+            )
+            self._log = self._open_log(len(MAGIC))
         except (DiskFullError, DiskFaultError):
-            raise  # the live journal handle is untouched: still usable
-        except OSError as exc:
-            raise map_os_error(exc, "write", tmp) from exc
-        crashpoint("journal-replace", os.path.basename(self.path))
-        self._handle.close()
-        try:
-            durable_replace(tmp, self.path)
-            self._handle = open(self.path, "r+b")
-        except (DiskFullError, DiskFaultError):
-            self._poisoned = True  # old handle is gone; state is ambiguous
+            if self._log.closed:  # else the live journal is untouched, usable
+                self._log.poison()  # the old log is gone; state is ambiguous
             raise
-        except OSError as exc:
-            self._poisoned = True
-            raise map_os_error(exc, "open", self.path) from exc
-        self._handle.seek(len(MAGIC))
         self._records = []
-        self._size = len(MAGIC)
+        self._ends = []
         self._pending = 0
-        self._durable = self._size
-        self._tail = []
 
     def close(self) -> None:
         """Flush (and fsync unless policy is ``never``) and close."""
         if self._closed:
             return
-        if self._poisoned:
-            # The handle was already closed by the failed recovery; there
-            # is nothing trustworthy left to flush.
-            self._closed = True
-            return
-        try:
-            self._handle.flush()
-        except OSError as exc:
-            self._poisoned = True
-            raise map_os_error(exc, "write", self.path) from exc
-        if self.fsync != "never" and self._pending:
-            try:
-                self._fsync(self._handle, label="close")
-            except (DiskFullError, DiskFaultError) as exc:
-                self._recover_fsync(exc)
-            self._pending = 0
-            self._durable = self._size
-            self._tail = []
-        self._handle.close()
+        if self.fsync != "never" and self._pending and not self._log.poisoned:
+            self.sync("close")
+        self._log.close()
         self._closed = True
 
     def abandon(self) -> None:
         """Release the OS handle without flushing bookkeeping (crash sim)."""
         if self._closed:
             return
-        try:
-            self._handle.close()
-        except OSError:
-            pass  # a SIGKILL simulator must not raise on teardown
+        self._log.abandon()
         self._closed = True
 
 
@@ -439,3 +284,31 @@ def replay_into(
         apply_record(table, record)
         last = max(last, seq)
     return last
+
+
+def recover_heads(
+    directory: str, fsync: str = "batch"
+) -> Tuple[BranchTable, int, CommitJournal]:
+    """An engine directory's durable heads: the ``branches.json`` snapshot
+    plus every ``journal.wal`` record it does not cover.
+
+    Returns the table, the last sequence number it covers and the open
+    journal.
+    """
+    table = BranchTable()
+    snapshot_seq = 0
+    heads_path = os.path.join(directory, "branches.json")
+    if os.path.exists(heads_path):
+        try:
+            read_check(heads_path, label="branches.json")
+            with open(heads_path, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+        except OSError as exc:
+            raise map_os_error(exc, "read", heads_path) from exc
+        if isinstance(data, dict) and "heads" in data:
+            snapshot_seq = int(data.get("seq", 0))
+            table = BranchTable.from_dict(data["heads"])
+        else:  # legacy snapshot: the bare heads dict, pre-journal
+            table = BranchTable.from_dict(data)
+    journal = CommitJournal(os.path.join(directory, "journal.wal"), fsync=fsync)
+    return table, replay_into(table, journal.records, after_seq=snapshot_seq), journal

@@ -290,16 +290,22 @@ class TestCliExtensions:
         assert code == 0
 
     def test_gc_compacts_file_store(self, tmp_path, capsys):
-        self._run(tmp_path, capsys, "put", "keep", "--json", '{"a": "1"}')
-        self._run(tmp_path, capsys, "put", "drop", "--json", '{"big": "x"}')
+        # A legacy FileStore directory: migrate it, then gc compacts it.
+        import os
+        import shutil
+
         eng_dir = str(tmp_path / "db")
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures", "legacy_filestore")
+        shutil.copytree(fixture, eng_dir)
+        assert cli_main(["migrate", eng_dir]) == 0
         from repro.db import ForkBase
         with ForkBase.open(eng_dir) as engine:
-            engine.delete_branch("drop", "master")
+            engine.delete_branch("blob", "master")
         code, out = self._run(tmp_path, capsys, "gc")
         assert code == 0 and "[compacted]" in out
+        assert "reclaimable=0 chunks" not in out
         # Data still served after compaction.
-        code, out = self._run(tmp_path, capsys, "get", "keep")
-        assert code == 0 and json.loads(out) == {"a": "1"}
-        code, _ = self._run(tmp_path, capsys, "verify", "keep")
+        code, out = self._run(tmp_path, capsys, "get", "doc")
+        assert code == 0 and json.loads(out)["k001"] == "v3"
+        code, _ = self._run(tmp_path, capsys, "verify", "doc")
         assert code == 0

@@ -213,15 +213,15 @@ class TestHonestRotNeverQuarantined:
         assert weak_seen > 0
 
     def test_rotten_fs_disk_never_quarantined(self, tmp_path):
-        """FsFaultPlan variant: one replica on a real (file-backed) store
+        """FsFaultPlan variant: one replica on a real (pack-backed) store
         whose disk runs out of space and tears writes.  Honest disk
         trouble — failed or torn write exchanges — must not be mistaken
         for fake acks."""
-        from repro.store.filestore import FileStore
+        from repro.store.packstore import PackStore
 
         def factory(name):
             if name == "node-00":
-                return FileStore(str(tmp_path / name))
+                return PackStore(str(tmp_path / name))
             return None
 
         cluster = ClusterStore(

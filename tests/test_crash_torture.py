@@ -2,7 +2,8 @@
 
 The workload below crosses every boundary kind the version layer marks —
 journal appends and fsyncs, snapshot write/fsync/replace during
-compaction, and the journal truncation rename.  A census run counts the
+compaction, and the journal truncation rename — plus the pack store's
+record appends and index-snapshot write/fsync/replace.  A census run counts the
 boundaries; then, for each boundary ``n``, a fresh engine runs the same
 workload under ``CrashPlan(crash_at=n)``, dies there (with torn writes),
 and is reopened.  Recovery must show either the state after the last
@@ -67,13 +68,8 @@ def _run_workload(directory: str, acked: List[HeadMap]) -> None:
     final two snapshots."""
     engine: Optional[ForkBase] = None
     try:
-        # Pinned to the file backend: the census below asserts the exact
-        # journal/snapshot boundary kinds of the seed layout, so a
-        # FORKBASE_BACKEND=pack environment must not redirect this suite
-        # (the pack boundaries get the same treatment in
-        # test_packstore_crash.py and test_pack_dropin.py).
         engine = ForkBase.open(
-            directory, fsync="always", journal_limit=JOURNAL_LIMIT, backend="file"
+            directory, fsync="always", journal_limit=JOURNAL_LIMIT, backend="pack"
         )
         acked.append(_heads(engine))
         for op in _ops(engine):
@@ -109,6 +105,10 @@ def test_census_is_deterministic(tmp_path):
         "snapshot-write",
         "snapshot-fsync",
         "snapshot-replace",
+        "pack-write",
+        "packindex-write",
+        "packindex-fsync",
+        "packindex-replace",
     }
 
 

@@ -42,7 +42,7 @@ FULL = os.environ.get("FORKBASE_FSFAULT_FULL") == "1"
 #: write + fsync + replace, journal truncation rename) at least once.
 JOURNAL_LIMIT = 600
 
-BACKENDS = ("file", "pack")
+BACKENDS = ("pack",)
 
 HeadMap = Dict[Tuple[str, str], Uid]
 

@@ -38,7 +38,6 @@ from repro.store.durability import (
     read_check,
     write_bytes,
 )
-from repro.store.filestore import FileStore
 from repro.store.packstore import PackStore
 from repro.vcs.journal import CommitJournal
 
@@ -190,7 +189,7 @@ def test_fsync_path_propagates_directory_fsync_errors(tmp_path):
 # -- store recovery -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("factory", [FileStore, PackStore], ids=["file", "pack"])
+@pytest.mark.parametrize("factory", [PackStore], ids=["pack"])
 def test_enospc_append_is_unacked_and_retried(tmp_path, factory):
     store = factory(str(tmp_path / "chunks"))
     store.put(_chunk(b"before"))
@@ -208,7 +207,7 @@ def test_enospc_append_is_unacked_and_retried(tmp_path, factory):
     reopened.close()
 
 
-@pytest.mark.parametrize("factory", [FileStore, PackStore], ids=["file", "pack"])
+@pytest.mark.parametrize("factory", [PackStore], ids=["pack"])
 def test_fsync_failure_recovers_via_fresh_descriptor(tmp_path, factory):
     store = factory(str(tmp_path / "chunks"))
     chunks = [_chunk(bytes([n])) for n in range(4)]
@@ -225,7 +224,7 @@ def test_fsync_failure_recovers_via_fresh_descriptor(tmp_path, factory):
     reopened.close()
 
 
-@pytest.mark.parametrize("factory", [FileStore, PackStore], ids=["file", "pack"])
+@pytest.mark.parametrize("factory", [PackStore], ids=["pack"])
 def test_unrecoverable_fsync_poisons_writer(tmp_path, factory):
     seeded = factory(str(tmp_path / "chunks"))
     seeded.put(_chunk(b"acked"))
@@ -236,9 +235,11 @@ def test_unrecoverable_fsync_poisons_writer(tmp_path, factory):
         with pytest.raises(DiskFaultError):
             store.put_many(chunks)
         assert store.poisoned
-        # Poisoned writer refuses further appends...
+        # Poisoned writer refuses further appends but still serves reads...
         with pytest.raises(DiskFaultError):
             store.put(_chunk(b"late"))
+        assert store.get(_chunk(b"acked").uid).data == _chunk(b"acked").data
+        assert not any(store.has(chunk.uid) for chunk in chunks)  # un-acked in memory
         # ...and close() degrades to abandon() rather than pretending.
         store.close()
     assert shim.false_fsyncs == 0
@@ -288,6 +289,7 @@ def test_journal_poisons_after_unrecoverable_fsync(tmp_path):
         with pytest.raises(DiskFaultError):
             journal.append({"op": "set-head", "seq": 2})
         assert journal.poisoned
+        assert [record["seq"] for record in journal.records] == [1]
         with pytest.raises(DiskFaultError):
             journal.append({"op": "set-head", "seq": 3})
         journal.close()  # a poisoned journal closes without flushing
@@ -376,6 +378,19 @@ def test_degraded_write_is_cleanly_unacked(tmp_path):
     # The failed put rolled the in-memory head back: un-acked means the
     # engine never claims the version existed.
     assert engine.head("doc") == head_before
+    engine.close()
+
+
+def test_always_policy_makes_chunks_durable_before_the_head(tmp_path):
+    """Under fsync="always" a journaled head must never name chunks that a
+    failed pack fsync could still drop: the store syncs first."""
+    engine = _open_engine(tmp_path)
+    order = []
+    store_sync, journal_append = engine.store.sync, engine._journal.append
+    engine.store.sync = lambda: (order.append("chunks"), store_sync())[1]
+    engine._journal.append = lambda record: (order.append("head"), journal_append(record))[1]
+    engine.put("doc", {"a": "1"})
+    assert order == ["chunks", "head"]
     engine.close()
 
 

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.cluster import ClusterStore
 from repro.db import ForkBase
 from repro.errors import StoreError
 from repro.security import Verifier
-from repro.store import FileStore, InMemoryStore
+from repro.store import InMemoryStore, PackStore
 from repro.store.gc import collect_garbage, compact_into, mark_live
 
 
@@ -101,15 +102,14 @@ class TestCollect:
         assert engine.store.has(pinned)
         assert report.swept_chunks < report_dry.swept_chunks
 
-    def test_in_place_sweep_requires_memory_store(self, tmp_path):
-        # Pinned: the file backend is the one that cannot sweep in place.
-        engine = ForkBase.open(str(tmp_path / "db"), backend="file")
+    def test_in_place_sweep_requires_memory_store(self):
+        # A replicated cluster store cannot sweep in place.
+        engine = ForkBase(store=ClusterStore(node_count=3, replication=2))
         engine.put("k", "v")
         engine.put("dead", "x")
         engine.delete_branch("dead", "master")
         with pytest.raises(StoreError):
             collect_garbage(engine)
-        engine.close()
 
 
 class TestCompaction:
@@ -126,7 +126,8 @@ class TestCompaction:
         assert Verifier(target).verify_version(engine.head("keep")).ok
 
     def test_compact_to_file_store(self, engine_with_garbage, tmp_path):
+        # The on-disk target is the pack store, the one durable backend.
         engine = engine_with_garbage
-        with FileStore(str(tmp_path / "compact")) as target:
+        with PackStore(str(tmp_path / "compact")) as target:
             compact_into(engine, target)
             assert Verifier(target).verify_version(engine.head("keep")).ok

@@ -1,8 +1,9 @@
 """The pack backend as a drop-in: engine, gc, scrub, cache, crash torture.
 
-The acceptance bar for the backend swap: everything above the chunk layer
-behaves identically — roots and uids are bit-for-bit the same as with
-FileStore, the garbage collector can sweep and compact it, the scrubber
+The acceptance bar for the durable backend: everything above the chunk
+layer behaves identically — roots and uids are bit-for-bit the same as
+with the in-memory reference store, the garbage collector can sweep and
+compact it, the scrubber
 understands its record frames, the decoded-node cache layers on top, and
 the engine-level crash-torture discipline holds with pack boundaries in
 the schedule.
@@ -19,7 +20,7 @@ from repro.chunk import Uid
 from repro.db.engine import ForkBase
 from repro.errors import EngineError, SimulatedCrash
 from repro.faults import CrashPlan, crash_zone
-from repro.store import NodeCacheStore, PackStore
+from repro.store import InMemoryStore, NodeCacheStore, PackStore
 from repro.store.scrub import diagnose_copy
 
 SEED = int(os.environ.get("FORKBASE_FAULT_SEED", "20260808"))
@@ -42,29 +43,28 @@ def _fill(engine: ForkBase) -> None:
 class TestBackendParity:
     def test_roots_and_uids_bit_identical(self, tmp_path):
         engines = {
-            name: ForkBase.open(str(tmp_path / name), backend=name)
-            for name in ("file", "pack")
+            "memory": ForkBase(store=InMemoryStore()),
+            "pack": ForkBase.open(str(tmp_path / "pack"), backend="pack"),
         }
         for engine in engines.values():
             engine._clock = lambda: 1234.5
             _fill(engine)
-        assert _heads(engines["file"]) == _heads(engines["pack"])
-        assert sorted(u.digest for u in engines["file"].store.ids()) == sorted(
+        assert _heads(engines["memory"]) == _heads(engines["pack"])
+        assert sorted(u.digest for u in engines["memory"].store.ids()) == sorted(
             u.digest for u in engines["pack"].store.ids()
         )
-        for uid in engines["file"].store.ids():
+        for uid in engines["memory"].store.ids():
             assert (
-                engines["file"].store.get(uid).data
+                engines["memory"].store.get(uid).data
                 == engines["pack"].store.get(uid).data
             )
-        for engine in engines.values():
-            engine.close()
+        engines["pack"].close()
 
     def test_auto_detects_existing_layout(self, tmp_path):
         directory = str(tmp_path / "db")
         with ForkBase.open(directory, backend="pack") as engine:
             engine.put("k", {"a": "1"})
-        with ForkBase.open(directory) as engine:  # backend="auto"
+        with ForkBase.open(directory) as engine:  # default backend
             assert isinstance(engine.store, PackStore)
             assert engine.get_value("k") == {b"a": b"1"}
 
@@ -76,9 +76,9 @@ class TestBackendParity:
             ForkBase.open(directory, backend="file")
 
     def test_auto_rejects_ambiguous_layout(self, tmp_path):
-        """Both layouts present (crashed migration, stray dir): 'auto'
-        must error like the explicit-mismatch cases, not silently open
-        one layout and hide the other's chunks."""
+        """A legacy segment layout beside the pack one (an unfinished
+        migration, a stray dir) must error, not silently open the pack
+        and hide the legacy chunks."""
         directory = str(tmp_path / "db")
         with ForkBase.open(directory, backend="pack") as engine:
             engine.put("k", {"a": "1"})

@@ -94,8 +94,8 @@ class TestRoundTrip:
         with PackStore(directory) as store:
             store._active = 1_000_000
             store._segments = [1_000_000]
-            store._writer.close()
-            store._writer = open(store._segment_path(1_000_000), "ab")
+            store._log.close()
+            store._log = store._open_log(1_000_000)
             store.put(chunk)
         os.remove(os.path.join(directory, "packs", "pack-000000.dat"))
         with PackStore(directory) as store:
@@ -264,6 +264,39 @@ class TestIndexDamage:
         size = os.path.getsize(_index(directory))
         with open(_index(directory), "r+b") as handle:
             handle.truncate(size // 2)
+        _assert_recovers(directory, chunks)
+
+    def test_garbage_index_rebuilds(self, populated):
+        directory, chunks = populated
+        with open(_index(directory), "wb") as handle:
+            handle.write(bytes(range(7, 7 + 64)))
+        _assert_recovers(directory, chunks)
+
+    def test_vanished_segment_rebuilds(self, populated):
+        """The snapshot watermarks a segment that no longer exists: the
+        staleness check must reject it, not serve dangling offsets."""
+        directory, chunks = populated
+        late = [_chunk(i) for i in range(200, 230)]
+        with PackStore(directory, segment_limit=256) as store:
+            store.put_many(late)  # rolls extra segments
+        pack_dir = os.path.join(directory, "packs")
+        for name in sorted(os.listdir(pack_dir))[1:]:
+            os.remove(os.path.join(pack_dir, name))
+        _assert_recovers(directory, chunks)  # first segment fully intact
+
+    def test_out_of_range_offset_rebuilds(self, populated):
+        """Index entries pointing past their segment's watermark are rejected."""
+        directory, chunks = populated
+        data = bytearray(open(_index(directory), "rb").read())
+        # magic(8) count(8) seg_count(8) watermarks(12 each) entries(48 each),
+        # an entry being digest(32) segment(4) offset(8) length(4).
+        (count,) = struct.unpack_from(">Q", data, 8)
+        (seg_count,) = struct.unpack_from(">Q", data, 16)
+        entries_at = 24 + seg_count * 12
+        for i in range(count):
+            struct.pack_into(">Q", data, entries_at + i * 48 + 36, 2**40)
+        with open(_index(directory), "wb") as handle:
+            handle.write(bytes(data))
         _assert_recovers(directory, chunks)
 
     def test_rebuild_works_without_decompression(self, tmp_path, monkeypatch):

@@ -126,6 +126,21 @@ def test_durable_delete_survives_crash(tmp_path):
             assert store.get(chunk.uid).data == chunk.data
 
 
+def test_records_after_snapshot_are_recovered(tmp_path):
+    """A crash after appends but before close: the index snapshot is
+    stale but valid, and the watermark scan must pick up the tail."""
+    directory = str(tmp_path / "ps")
+    with PackStore(directory) as store:
+        store.put_many(CHUNKS[:5])
+    store = PackStore(directory)
+    for chunk in CHUNKS[5:10]:
+        store.put(chunk)  # flushed, but no fresh index snapshot
+    store.abandon()
+    with PackStore(directory) as store:
+        for chunk in CHUNKS[:10]:
+            assert store.get(chunk.uid).data == chunk.data
+
+
 def test_torn_tail_is_truncated_on_reopen(tmp_path):
     directory = str(tmp_path / "ps")
     with PackStore(directory) as store:

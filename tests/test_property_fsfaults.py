@@ -70,7 +70,7 @@ def _run(directory: str, plan: FsFaultPlan):
     with fs_zone(plan) as shim:
         engine: Optional[ForkBase] = None
         try:
-            engine = ForkBase.open(directory, fsync="always", backend="file")
+            engine = ForkBase.open(directory, fsync="always", backend="pack")
             _pin_clock(engine)
             acked.append(_heads(engine))
             for op in _workload(engine):

@@ -8,7 +8,10 @@ from repro.chunk import Chunk, ChunkType, Uid
 from repro.cluster import ClusterStore
 from repro.errors import ChunkNotFoundError
 from repro.faults import FaultPlan, FaultyStore
-from repro.store import CachedStore, FileStore, InMemoryStore, Scrubber, scrub
+from repro.store import CachedStore, InMemoryStore, PackStore, Scrubber, scrub
+from repro.store.packstore import _CRC, _FRAME
+
+_FRAME_SIZE = _FRAME.size + _CRC.size
 
 
 def _chunk(n: int) -> Chunk:
@@ -41,12 +44,13 @@ class TestDeleteApi:
         assert not backing.has(chunk.uid)
 
     def test_filestore_delete_survives_reopen(self, tmp_path):
+        # The on-disk store is the pack store, the one durable backend.
         directory = str(tmp_path / "fs")
         chunks = [_chunk(i) for i in range(10)]
-        with FileStore(directory) as store:
+        with PackStore(directory) as store:
             store.put_many(chunks)
             assert store.delete(chunks[3].uid) is True
-        with FileStore(directory) as store:
+        with PackStore(directory) as store:
             assert not store.has(chunks[3].uid)
             assert all(store.has(c.uid) for c in chunks if c is not chunks[3])
 
@@ -90,18 +94,19 @@ class TestScrubFlat:
                 store.get(chunk.uid)
 
     def test_filestore_bitrot_on_disk(self, tmp_path):
+        # Rot in a segment of the on-disk (pack) store.
         directory = str(tmp_path / "fs")
         chunks = [_chunk(i) for i in range(20)]
-        with FileStore(directory) as store:
+        with PackStore(directory, compression="none") as store:
             store.put_many(chunks)
         # Flip one payload byte of the first record on disk.
-        segment = os.path.join(directory, "segments", "seg-000000.dat")
+        segment = os.path.join(directory, "packs", "pack-000000.dat")
         with open(segment, "r+b") as handle:
-            handle.seek(5 + 3)  # header (5B) + 3 bytes into the payload
+            handle.seek(_FRAME_SIZE + 3)  # frame + 3 bytes into the payload
             byte = handle.read(1)
             handle.seek(-1, os.SEEK_CUR)
             handle.write(bytes([byte[0] ^ 0xFF]))
-        store = FileStore(directory)
+        store = PackStore(directory)
         report = scrub(store)
         assert report.corrupt >= 1 and report.quarantined == report.corrupt
         assert scrub(store).healthy

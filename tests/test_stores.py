@@ -6,7 +6,7 @@ import pytest
 
 from repro.chunk import Chunk, ChunkType, Uid
 from repro.errors import ChunkCorruptionError, ChunkNotFoundError, StoreClosedError
-from repro.store import CachedStore, FileStore, InMemoryStore
+from repro.store import CachedStore, InMemoryStore, PackStore
 from repro.store.stats import StoreStats
 
 
@@ -106,23 +106,26 @@ class TestStoreStats:
 
 
 class TestFileStore:
+    """The file-backed durable store: since FileStore's retirement, the
+    pack store carries its reopen and crash-recovery contract."""
+
     def test_round_trip_and_reopen(self, tmp_path):
         path = str(tmp_path / "store")
         chunk = _chunk(b"persistent")
-        with FileStore(path) as fs:
+        with PackStore(path) as fs:
             fs.put(chunk)
-        with FileStore(path) as fs:
+        with PackStore(path) as fs:
             assert fs.get(chunk.uid).data == b"persistent"
             assert len(fs) == 1
 
     def test_index_rebuild_after_crash(self, tmp_path):
         path = str(tmp_path / "store")
         chunks = [_chunk(b"c%d" % i) for i in range(20)]
-        fs = FileStore(path)
+        fs = PackStore(path)
         fs.put_many(chunks)
         fs.close()
-        os.remove(os.path.join(path, "index.dat"))
-        with FileStore(path) as fs2:
+        os.remove(os.path.join(path, "pack-index.dat"))
+        with PackStore(path) as fs2:
             assert len(fs2) == 20
             for chunk in chunks:
                 assert fs2.get(chunk.uid).data == chunk.data
@@ -131,43 +134,39 @@ class TestFileStore:
         """Records appended after the last index snapshot are found."""
         path = str(tmp_path / "store")
         first = _chunk(b"first")
-        with FileStore(path) as fs:
+        with PackStore(path) as fs:
             fs.put(first)
-        fs2 = FileStore(path)
+        fs2 = PackStore(path)
         second = _chunk(b"second")
         fs2.put(second)
-        fs2._writer.flush()
-        # Simulate crash: skip close() (no index rewrite).
-        with FileStore(path) as fs3:
+        fs2.abandon()  # simulate crash: no index rewrite
+        with PackStore(path) as fs3:
             assert fs3.get(first.uid).data == b"first"
             assert fs3.get(second.uid).data == b"second"
 
     def test_torn_record_ignored(self, tmp_path):
         path = str(tmp_path / "store")
         chunk = _chunk(b"whole")
-        fs = FileStore(path)
-        fs.put(chunk)
-        fs._writer.flush()
-        seg = fs._segment_path(fs._active)
-        fs.close()
-        os.remove(os.path.join(path, "index.dat"))
-        with open(seg, "ab") as handle:
+        with PackStore(path) as fs:
+            fs.put(chunk)
+        os.remove(os.path.join(path, "pack-index.dat"))
+        with open(os.path.join(path, "packs", "pack-000000.dat"), "ab") as handle:
             handle.write(b"\x01\x00\x00\x01\x00ga")  # torn garbage tail
-        with FileStore(path) as fs2:
+        with PackStore(path) as fs2:
             assert fs2.get(chunk.uid).data == b"whole"
             assert len(fs2) == 1
 
     def test_segment_rollover(self, tmp_path):
         path = str(tmp_path / "store")
-        with FileStore(path, segment_limit=256) as fs:
-            chunks = [_chunk(os.urandom(100)) for _ in range(10)]
+        with PackStore(path, segment_limit=256, compression="none") as fs:
+            chunks = [_chunk(bytes([i]) * 100) for i in range(10)]
             fs.put_many(chunks)
             assert len(fs._segments) > 1
             for chunk in chunks:
                 assert fs.get(chunk.uid).data == chunk.data
 
     def test_closed_store_rejects_ops(self, tmp_path):
-        fs = FileStore(str(tmp_path / "store"))
+        fs = PackStore(str(tmp_path / "store"))
         fs.close()
         with pytest.raises(StoreClosedError):
             fs.put(_chunk(b"late"))
@@ -176,9 +175,9 @@ class TestFileStore:
     def test_dedup_across_sessions(self, tmp_path):
         path = str(tmp_path / "store")
         chunk = _chunk(b"shared")
-        with FileStore(path) as fs:
+        with PackStore(path) as fs:
             fs.put(chunk)
-        with FileStore(path) as fs:
+        with PackStore(path) as fs:
             assert fs.put(chunk) is False  # already present after reopen
 
 
